@@ -1,18 +1,16 @@
-import os
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-ext_modules = []
-if os.environ.get("IETKHINCHIN_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            "src/ietkhinchin/_speedups.pyx",
-            compiler_directives={"language_level": "3"},
+# The compiled twin of _kernel.py, from hand-written C.  optional=True: where
+# no compiler is found the build skips it and the package runs on the pure
+# kernel.  -ffp-contract=off keeps the compiler from fusing a multiply and an
+# add into one rounding, which would break bit-identity with the pure kernel.
+setup(
+    ext_modules=[
+        Extension(
+            "ietkhinchin._speedups",
+            ["src/ietkhinchin/_speedups.c"],
+            extra_compile_args=["-O2", "-ffp-contract=off"],
+            optional=True,
         )
-    except ImportError:
-        # the package runs on its pure-Python kernels without the extension
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+    ]
+)

@@ -19,7 +19,13 @@ from .combinat import (
     rauzy_class,
     rauzy_op,
 )
-from .errors import AlgorithmStopped, ConstructionFailed, NotDetected, PrecisionExhausted
+from .errors import (
+    AlgorithmStopped,
+    ConstructionFailed,
+    NotDetected,
+    PrecisionExhausted,
+    StepBudgetExhausted,
+)
 from .iet import (
     EXACT,
     FLOAT,

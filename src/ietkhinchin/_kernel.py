@@ -1,15 +1,27 @@
 """Pure-Python reference kernels for the float Monte Carlo inner loops.
 
-The compiled extension mirrors these functions operation for operation (same
-arithmetic in the same order), so either implementation produces bit-identical
-results.  Everything works on letter indices and flat lists; no package types
-appear here.
+The compiled twin ``_speedups``, built from the C source ``_speedups.c``,
+mirrors these functions operation for operation (same arithmetic in the same
+order), so either implementation produces bit-identical results;
+``tests/test_kernel.py`` asserts it.  Everything works on letter indices and
+flat lists; no package types appear here.
+
+phi is passed as its spec ``(kind, c, p)`` and evaluated by ``phi_at`` only at
+the n that is tested, so no table of phi values is built.
+
+Both twins validate their inputs and raise ValueError on rows that are not
+permutations of 0..d-1 of the length of ``lengths`` (with d >= 2) or that end
+with the same letter, on letters outside 0..d-1, on n < 0 and on unknown phi
+kinds.  The compiled twin also takes at most ``_speedups.MAXD`` letters.
 
 Statuses: 0 = ok, 1 = precision exhausted (guard band hit), 2 = tie
-(induction undefined), 3 = step budget exhausted.
+(induction undefined), 3 = step budget exhausted; reduced_check answers
+5 = reduced or 4 = not reduced.
 """
 
 from __future__ import annotations
+
+import math
 
 OK = 0
 PRECISION = 1
@@ -19,12 +31,43 @@ BUDGET = 3
 REDUCED = 5
 NOT_REDUCED = 4
 
+PHI_KINDS = ("zero", "const", "log1", "log2", "power")
+
+
+def phi_at(phi, n):
+    """phi(n) for the spec phi = (kind, c, p) and n >= 1."""
+    kind, c, p = phi
+    if kind == "zero":
+        return 0.0
+    if kind == "const":
+        return c
+    if kind == "log1":
+        return c / (n * math.log(n + 1))
+    if kind == "log2":
+        log = math.log(n + 1)
+        return c / (n * log * log)
+    if kind == "power":
+        return c / n**p
+    raise ValueError(f"unknown phi kind {kind!r}")
+
+
+def _check_datum(top, bot, lengths):
+    d = len(lengths)
+    if d < 2:
+        raise ValueError(f"the kernel takes at least 2 letters, not {d}")
+    for name, row in (("top", top), ("bot", bot)):
+        if len(row) != d or sorted(row) != list(range(d)):
+            raise ValueError(f"{name} is not a permutation of 0..{d - 1}")
+    if top[-1] == bot[-1]:
+        raise ValueError("top and bot end with the same letter")
+
 
 def induction_arrows(top, bot, lengths, max_steps, band):
     """Run float induction steps, recording arrow types (0 top / 1 bottom).
 
     Mutates nothing; returns (types, status).
     """
+    _check_datum(top, bot, lengths)
     top = list(top)
     bot = list(bot)
     lengths = list(lengths)
@@ -58,18 +101,21 @@ def induction_arrows(top, bot, lengths, max_steps, band):
     return types, OK
 
 
-def scan_solutions(top, bot, lengths, n_max, phi_table, band, max_steps):
+def scan_solutions(top, bot, lengths, n_max, phi, band, max_steps):
     """Stream candidate approximation triples out of one float induction run.
 
     After every step whose loser can close a triple, each admissible partner
     letter is tested: if the counter sum n is in range and the current
-    singularity gap is below phi_table[n], the candidate
-    (beta_index, alpha_index, n, gap) is emitted.  A comparison within the
-    guard band aborts with the precision status so the caller can escalate
-    the whole sample to the exact backend.
+    singularity gap is below phi(n), evaluated from the spec phi = (kind, c,
+    p), the candidate (beta_index, alpha_index, n, gap) is emitted.  A
+    comparison within the guard band aborts with the precision status so the
+    caller can escalate the whole sample to the exact backend.
 
     Returns (status, candidates, steps).
     """
+    _check_datum(top, bot, lengths)
+    if len(phi) != 3 or phi[0] not in PHI_KINDS:
+        raise ValueError(f"phi must be a (kind, c, p) spec with kind in {PHI_KINDS}")
     d = len(lengths)
     top = list(top)
     bot = list(bot)
@@ -137,44 +183,27 @@ def scan_solutions(top, bot, lengths, n_max, phi_table, band, max_steps):
         for i in range(d):
             u_bot[bot[i]] = acc
             acc += lengths[bot[i]]
-        if kind_top:
-            beta = loser
-            if beta_ok[beta]:
-                for alpha in range(d):
-                    if not alpha_ok[alpha]:
-                        continue
-                    n = l_cnt[beta] + h_cnt[alpha]
-                    if n < 1 or n > n_max:
-                        continue
-                    gap = u_bot[beta] - u_top[alpha]
-                    if gap < 0.0:
-                        gap = -gap
-                    margin = gap - phi_table[n]
-                    if margin < 0.0:
-                        margin = -margin
-                    if margin < band * total:
-                        return PRECISION, cands, steps
-                    if gap < phi_table[n]:
-                        cands.append((beta, alpha, n, gap))
-        else:
-            alpha = loser
-            if alpha_ok[alpha]:
-                for beta in range(d):
-                    if not beta_ok[beta]:
-                        continue
-                    n = l_cnt[beta] + h_cnt[alpha]
-                    if n < 1 or n > n_max:
-                        continue
-                    gap = u_bot[beta] - u_top[alpha]
-                    if gap < 0.0:
-                        gap = -gap
-                    margin = gap - phi_table[n]
-                    if margin < 0.0:
-                        margin = -margin
-                    if margin < band * total:
-                        return PRECISION, cands, steps
-                    if gap < phi_table[n]:
-                        cands.append((beta, alpha, n, gap))
+        if not (beta_ok if kind_top else alpha_ok)[loser]:
+            continue
+        # the loser closes a triple with every admissible partner letter
+        for j in range(d):
+            beta, alpha = (loser, j) if kind_top else (j, loser)
+            if not (beta_ok[beta] and alpha_ok[alpha]):
+                continue
+            n = l_cnt[beta] + h_cnt[alpha]
+            if n < 1 or n > n_max:
+                continue
+            gap = u_bot[beta] - u_top[alpha]
+            if gap < 0.0:
+                gap = -gap
+            bound = phi_at(phi, n)
+            margin = gap - bound
+            if margin < 0.0:
+                margin = -margin
+            if margin < band * total:
+                return PRECISION, cands, steps
+            if gap < bound:
+                cands.append((beta, alpha, n, gap))
 
 
 def reduced_check(top, bot, lengths, beta, alpha, n, band):
@@ -183,7 +212,10 @@ def reduced_check(top, bot, lengths, beta, alpha, n, band):
     status REDUCED / NOT_REDUCED on a clean decision, PRECISION whenever any
     comparison lands inside the guard band.
     """
+    _check_datum(top, bot, lengths)
     d = len(lengths)
+    if not (0 <= beta < d and 0 <= alpha < d and n >= 0):
+        raise ValueError(f"need 0 <= beta, alpha < {d} and n >= 0")
     total = 0.0
     for v in lengths:
         total += v

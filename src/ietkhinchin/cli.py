@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Every subcommand takes flags or a JSON config file (flags win); structured
-output is JSON on stdout, experiment tables go to CSV files.  With --check,
-commands that assert something exit nonzero when the assertion fails.
+Every subcommand takes flags or a JSON config file: the file's values replace
+the subcommand's defaults, and flags given on the command line win over both.
+Structured output is JSON on stdout (never NaN), experiment tables go to CSV
+files.  With --check, commands that assert something exit nonzero when the
+assertion fails.
 """
 
 from __future__ import annotations
@@ -63,15 +65,19 @@ def _load_iet(args) -> IET:
     raise SystemExit("an --iet JSON (inline or file path) is required")
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    config = getattr(args, "config", None)
-    if config:
-        with open(config) as handle:
+def parse_args(parser: argparse.ArgumentParser, argv=None) -> argparse.Namespace:
+    """Parse argv; a --config file's values replace the subcommand's
+    defaults, and flags on the command line win over the file."""
+    args = parser.parse_args(argv)
+    if args.config:
+        with open(args.config) as handle:
             data = json.load(handle)
-        for key, value in data.items():
-            key = key.replace("-", "_")
-            if getattr(args, key, None) in (None, False):
-                setattr(args, key, value)
+        defaults = {key.replace("-", "_"): value for key, value in data.items()}
+        unknown = [key for key in defaults if key not in vars(args) or key in ("fn", "subparser")]
+        if unknown:
+            parser.error(f"{args.config}: unknown options {', '.join(unknown)}")
+        args.subparser.set_defaults(**defaults)
+        args = parser.parse_args(argv)
     return args
 
 
@@ -267,7 +273,7 @@ def cmd_zorich_estimate(args) -> int:
     ref = build_reference_path(cls, perm, args.beta, args.alpha)
     result = zorich_growth_estimate(ref, args.samples, args.steps, args.seed)
     result["reference_path"] = ref.path.type_string()
-    print(json.dumps(result, indent=2))
+    print(json.dumps(result, indent=2, allow_nan=False))
     return 0
 
 
@@ -303,7 +309,6 @@ def cmd_bench(args) -> int:
     top = [index[a] for a in perm.top]
     bot = [index[a] for a in perm.bottom]
     phi = parse_phi(args.phi)
-    phi_table = phi.table(args.n_max)
     rng = random.Random(args.seed)
     batches = []
     for _ in range(args.samples):
@@ -317,7 +322,7 @@ def cmd_bench(args) -> int:
         checksum = 0
         for vec in batches:
             status, cands, steps = impl.scan_solutions(
-                top, bot, vec, args.n_max, phi_table, 1e-12, 10**6
+                top, bot, vec, args.n_max, phi.kernel_spec, 1e-12, 10**6
             )
             checksum += status + len(cands) + steps
             for beta_i, alpha_i, n, _ in cands:
@@ -343,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, subparser=p)
         p.add_argument("--config", help="JSON file supplying defaults for flags")
         return p
 
@@ -423,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    args = _apply_config(args)
+    args = parse_args(parser, argv)
     return args.fn(args)
 
 

@@ -12,6 +12,17 @@ class AlgorithmStopped(Exception):
         super().__init__(message or f"induction stopped at step {step} (tie)")
 
 
+class StepBudgetExhausted(AlgorithmStopped):
+    """The step budget ran out before the induction covered what was asked.
+
+    A subclass of AlgorithmStopped, so callers that stop on either case keep
+    working; callers that must tell a budget from a tie catch it first.
+    """
+
+    def __init__(self, step, message=None):
+        super().__init__(step, message or f"step budget exhausted after {step} steps")
+
+
 class PrecisionExhausted(Exception):
     """A float comparison fell inside the guard band and cannot be trusted."""
 

@@ -12,7 +12,6 @@ import csv
 import hashlib
 import json
 import math
-import multiprocessing
 import random
 import re
 from fractions import Fraction
@@ -20,7 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import kernel
 from .combinat import BOTTOM, TOP, Path, Permutation, parse_permutation
-from .errors import AlgorithmStopped, PrecisionExhausted
+from .errors import AlgorithmStopped, PrecisionExhausted, StepBudgetExhausted
 from .iet import (
     EXACT,
     FLOAT,
@@ -37,31 +36,25 @@ from .triples import ReferencePath, enumerate_targets
 
 
 class Phi:
-    """A positive sequence n -> phi(n), parsed from a compact spec string."""
+    """A positive sequence n -> phi(n), parsed from a compact spec string.
 
-    def __init__(self, kind: str, c: float = 1.0, p: float = 1.0, values: Optional[Sequence[float]] = None):
+    ``kernel_spec`` is the (kind, c, p) tuple the kernels take; both kernels
+    evaluate it with the same arithmetic as ``__call__``.
+    """
+
+    def __init__(self, kind: str, c: float = 1.0, p: float = 1.0):
         self.kind = kind
         self.c = c
         self.p = p
-        self.values = list(values) if values is not None else None
+
+    @property
+    def kernel_spec(self) -> tuple[str, float, float]:
+        return (self.kind, self.c, self.p)
 
     def __call__(self, n: int) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "const":
-            return self.c
-        if self.kind == "table":
-            return self.values[n] if n < len(self.values) else 0.0
-        if n < 1:
+        if n < 1 and self.kind not in ("zero", "const"):
             raise ValueError("log families are defined for n >= 1")
-        if self.kind == "log1":
-            return self.c / (n * math.log(n + 1))
-        if self.kind == "log2":
-            log = math.log(n + 1)
-            return self.c / (n * log * log)
-        if self.kind == "power":
-            return self.c / n**self.p
-        raise ValueError(f"unknown phi kind {self.kind}")
+        return kernel.phi_at(self.kernel_spec, n)
 
     def table(self, n_max: int) -> list[float]:
         out = [0.0] * (n_max + 1)
@@ -83,7 +76,7 @@ class Phi:
             return f"{self.c}/(n*log(n+1)^2)"
         if self.kind == "power":
             return f"{self.c}/n^{self.p}"
-        return "table"
+        raise ValueError(f"unknown phi kind {self.kind}")
 
 
 _PHI_LOG2 = re.compile(r"^\s*([0-9.]+)?\s*/\s*\(\s*n\s*\*\s*log\(\s*n\s*\+\s*1\s*\)\s*\^\s*2\s*\)\s*$")
@@ -142,7 +135,9 @@ def khinchin_count(
     Float inputs run on the kernel fast path (candidate stream confirmed by
     the pullback oracle); any guard-band hit escalates the whole sample to
     the exact backend after bit-exact rationalization.  A tie means the
-    sample has a connection and is reported via AlgorithmStopped.
+    sample has a connection and is reported via AlgorithmStopped; a run that
+    spends step_budget induction steps before it covers every pair raises
+    StepBudgetExhausted, a subclass of it.
     """
     if iet.backend == FLOAT:
         try:
@@ -156,16 +151,15 @@ def _count_float(iet, phi, n_max, band, step_budget):
     top, bot, lengths = _iet_arrays(iet)
     letters = iet.perm.letters
     total0 = sum(lengths)
-    phi_table = phi.table(n_max)
-    status, cands, _steps = kernel.scan_solutions(
-        top, bot, lengths, n_max, phi_table, band, step_budget
+    status, cands, steps = kernel.scan_solutions(
+        top, bot, lengths, n_max, phi.kernel_spec, band, step_budget
     )
     if status == kernel.TIE:
         raise AlgorithmStopped(None, "sample has a connection")
     if status == kernel.PRECISION:
         raise PrecisionExhausted()
     if status == kernel.BUDGET:
-        raise AlgorithmStopped(None, "step budget exhausted before coverage")
+        raise StepBudgetExhausted(steps, "step budget exhausted before coverage")
     solutions: dict[tuple[str, str], dict[int, float]] = {
         (b, a): {} for b, a in valid_pairs(iet.perm)
     }
@@ -179,10 +173,10 @@ def _count_float(iet, phi, n_max, band, step_budget):
             raise PrecisionExhausted()
         good = status == kernel.REDUCED
         if good:
-            margin = abs(gap - phi_table[n])
-            if margin < band * total0:
+            bound = phi(n)
+            if abs(gap - bound) < band * total0:
                 raise PrecisionExhausted()
-            good = gap < phi_table[n]
+            good = gap < bound
         checked[key] = good
         if good:
             solutions[(letters[beta_i], letters[alpha_i])][n] = gap
@@ -192,10 +186,6 @@ def _count_float(iet, phi, n_max, band, step_budget):
 def _count_exact(iet, phi, n_max, step_budget):
     perm = iet.perm
     pairs = valid_pairs(perm)
-    phi_exact = [Fraction(0)] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        value = phi(n)
-        phi_exact[n] = Fraction(value) if value > 0 else Fraction(0)
     solutions: dict[tuple[str, str], dict[int, float]] = {p: {} for p in pairs}
     checked: dict[tuple[str, str, int], bool] = {}
     state = InductionState(iet)
@@ -211,7 +201,7 @@ def _count_exact(iet, phi, n_max, step_budget):
 
     while any(state.l[b] + state.h[a] <= n_max for b, a in pairs):
         if state.steps >= step_budget:
-            raise AlgorithmStopped(state.steps, "step budget exhausted before coverage")
+            raise StepBudgetExhausted(state.steps, "step budget exhausted before coverage")
         state.rauzy_step()
         last = state.path.arrows[-1]
         if last.kind == TOP:
@@ -226,15 +216,20 @@ def _count_exact(iet, phi, n_max, step_budget):
         u_bot = state.current.left_endpoints(BOTTOM)
         for beta, alpha in partners:
             n = state.l[beta] + state.h[alpha]
-            if n < 1 or n > n_max or phi_exact[n] == 0:
+            if n < 1 or n > n_max:
                 continue
             key = (beta, alpha, n)
             if key in checked:
                 continue
-            if abs(u_bot[beta] - u_top[alpha]) >= phi_exact[n]:
+            # phi(n) is made exact only at the n tested
+            value = phi(n)
+            if not value > 0:
+                continue
+            bound = Fraction(value)
+            if abs(u_bot[beta] - u_top[alpha]) >= bound:
                 continue
             gap = true_gap(beta, alpha, n)
-            good = gap < phi_exact[n] and gap > 0
+            good = gap < bound and gap > 0
             if good:
                 good = is_reduced_triple(iet, Triple(beta, alpha, n))
             checked[key] = good
@@ -279,6 +274,8 @@ def _dichotomy_row(args):
     try:
         solutions = khinchin_count(iet, phi, n_max)
         status = "ok"
+    except StepBudgetExhausted:
+        return (family_index, index, "budget", [])
     except AlgorithmStopped:
         return (family_index, index, "connection", [])
     except PrecisionExhausted:
@@ -306,6 +303,10 @@ def dichotomy_experiment(
         for i in range(samples)
     ]
     if workers > 1:
+        # imported only for a pool: the import alone costs about 1 MiB of
+        # resident memory, and single-worker runs never use it
+        import multiprocessing
+
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             rows = pool.map(_dichotomy_row, jobs, chunksize=8)
     else:
@@ -506,8 +507,8 @@ def zorich_growth_estimate(
     return {
         "samples": len(per_sample),
         "truncated": truncated,
-        "theta_sup": per_sample[-1] if per_sample else float("nan"),
-        "theta_median": _median(per_sample) if per_sample else float("nan"),
+        "theta_sup": per_sample[-1] if per_sample else None,
+        "theta_median": _median(per_sample) if per_sample else None,
     }
 
 

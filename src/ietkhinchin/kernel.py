@@ -1,8 +1,17 @@
 """Kernel selection: compiled extension when available, pure Python otherwise.
 
-Set ``IETKHINCHIN_PURE=1`` to force the pure-Python kernels (the benchmark
-and the equivalence tests use this).  Both implementations perform identical
-floating-point operations, so the choice never changes results, only speed.
+The compiled kernel ``_speedups`` is built from the hand-written C source
+``_speedups.c`` by ``setup.py`` (``python setup.py build_ext --inplace``, or
+any install) whenever a C compiler is present; without one the build skips it
+and the pure-Python ``_kernel`` runs.  Set ``IETKHINCHIN_PURE=1`` to force the
+pure kernel.  Both implementations perform identical floating-point
+operations, so the choice never changes results, only speed;
+``tests/test_kernel.py`` asserts it.
+
+phi is passed to ``scan_solutions`` as its spec ``(kind, c, p)`` (see
+``Phi.kernel_spec``) and evaluated only at the n tested.  Both kernels
+validate their inputs and raise ValueError on malformed rows, letters, n or
+phi specs.
 """
 
 from __future__ import annotations
@@ -17,6 +26,8 @@ TIE = _pure.TIE
 BUDGET = _pure.BUDGET
 REDUCED = _pure.REDUCED
 NOT_REDUCED = _pure.NOT_REDUCED
+
+phi_at = _pure.phi_at
 
 if os.environ.get("IETKHINCHIN_PURE") == "1":
     _impl = _pure
