@@ -67,9 +67,21 @@ def _load_iet(args) -> IET:
 
 def parse_args(parser: argparse.ArgumentParser, argv=None) -> argparse.Namespace:
     """Parse argv; a --config file's values replace the subcommand's
-    defaults, and flags on the command line win over the file."""
-    args = parser.parse_args(argv)
-    if args.config:
+    defaults, and flags on the command line win over the file.
+
+    A flag the subcommand requires may come from the file, so with a file
+    argparse's own required check is held off until the file has been read;
+    a required flag that neither gives is reported with argparse's message.
+    """
+    probe = argparse.ArgumentParser(add_help=False)
+    probe.add_argument("--config")
+    if probe.parse_known_args(argv)[0].config is None:
+        return parser.parse_args(argv)
+    required = _required_actions(parser)
+    for action in required:
+        action.required = False
+    try:
+        args = parser.parse_args(argv)
         with open(args.config) as handle:
             data = json.load(handle)
         defaults = {key.replace("-", "_"): value for key, value in data.items()}
@@ -78,7 +90,25 @@ def parse_args(parser: argparse.ArgumentParser, argv=None) -> argparse.Namespace
             parser.error(f"{args.config}: unknown options {', '.join(unknown)}")
         args.subparser.set_defaults(**defaults)
         args = parser.parse_args(argv)
+    finally:
+        for action in required:
+            action.required = True
+    missing = ["/".join(a.option_strings) for a in required
+               if a in args.subparser._actions and getattr(args, a.dest) is None]
+    if missing:
+        args.subparser.error(f"the following arguments are required: {', '.join(missing)}")
     return args
+
+
+def _required_actions(parser: argparse.ArgumentParser) -> list[argparse.Action]:
+    """The flags that some subcommand of ``parser`` marks required."""
+    return [
+        action
+        for group in parser._subparsers._group_actions
+        for sub in group.choices.values()
+        for action in sub._actions
+        if action.required
+    ]
 
 
 def cmd_class(args) -> int:

@@ -10,7 +10,7 @@ skeleton of everything else in this package.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 TOP = "t"
 BOTTOM = "b"
@@ -28,7 +28,9 @@ class Permutation:
     vector indexing is the sorted alphabet.
     """
 
-    __slots__ = ("top", "bottom", "letters", "_top_pos", "_bottom_pos", "_hash")
+    __slots__ = (
+        "top", "bottom", "letters", "_top_pos", "_bottom_pos", "_hash", "_arrows", "_vertices"
+    )
 
     def __init__(self, top: Sequence[str], bottom: Sequence[str]):
         top = tuple(top)
@@ -45,10 +47,35 @@ class Permutation:
         self._top_pos = {a: i + 1 for i, a in enumerate(top)}
         self._bottom_pos = {a: i + 1 for i, a in enumerate(bottom)}
         self._hash = hash((top, bottom))
+        # built by the first call of ``arrow``
+        self._arrows: Optional[dict[str, "Arrow"]] = None
+        self._vertices: Optional[dict["Permutation", "Permutation"]] = None
 
     @property
     def d(self) -> int:
         return len(self.top)
+
+    def arrow(self, kind: str) -> "Arrow":
+        """The arrow of the given type leaving this vertex, built once.
+
+        The vertices reached from this one share one table of vertex objects,
+        and the arrow's end is the table's object for that vertex, so a walk
+        that follows ``arrow(...).end`` builds each arrow and each vertex of
+        its (finite) Rauzy class at most once.
+        """
+        if self._arrows is None:
+            self._arrows = {}
+            if self._vertices is None:
+                self._vertices = {self: self}
+        arrow = self._arrows.get(kind)
+        if arrow is None:
+            arrow = Arrow(self, kind)
+            end = self._vertices.setdefault(arrow.end, arrow.end)
+            if end is arrow.end:
+                end._vertices = self._vertices
+            arrow.end = end
+            self._arrows[kind] = arrow
+        return arrow
 
     def row(self, kind: str) -> tuple[str, ...]:
         return self.top if kind == TOP else self.bottom
@@ -248,12 +275,15 @@ def comparable(a: Path, b: Path) -> bool:
 
 
 def path_from_types(start: Permutation, types: str) -> Path:
-    path = Path(start)
+    arrows = []
+    vertex = start
     for kind in types:
         if kind not in (TOP, BOTTOM):
             raise ValueError(f"bad arrow type {kind!r}")
-        path = path.extended(kind)
-    return path
+        arrow = vertex.arrow(kind)
+        arrows.append(arrow)
+        vertex = arrow.end
+    return Path(start, arrows)
 
 
 class RauzyClass:

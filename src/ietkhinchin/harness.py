@@ -15,7 +15,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import kernel
 from .combinat import BOTTOM, TOP, Path, Permutation, parse_permutation
@@ -202,8 +202,7 @@ def _count_exact(iet, phi, n_max, step_budget):
     while any(state.l[b] + state.h[a] <= n_max for b, a in pairs):
         if state.steps >= step_budget:
             raise StepBudgetExhausted(state.steps, "step budget exhausted before coverage")
-        state.rauzy_step()
-        last = state.path.arrows[-1]
+        last = state.rauzy_step()
         if last.kind == TOP:
             beta = last.loser
             partners = [(beta, a) for b, a in pairs if b == beta]
@@ -495,7 +494,7 @@ def zorich_growth_estimate(
         try:
             for _ in range(step_budget):
                 state.rauzy_step()
-                if state.path.ends_with(ref.path):
+                if state.ends_with(ref.path):
                     k += 1
                     norm = sum(state.q.values())
                     best = max(best, norm ** (1.0 / k))
@@ -509,41 +508,4 @@ def zorich_growth_estimate(
         "truncated": truncated,
         "theta_sup": per_sample[-1] if per_sample else None,
         "theta_median": _median(per_sample) if per_sample else None,
-    }
-
-
-def distortion_statistic(
-    perm: Permutation,
-    subset: Iterable[str],
-    samples: int,
-    threshold_power: int,
-    m_values: Sequence[int],
-    seed: int,
-    step_budget: int = 4000,
-) -> dict:
-    """Frequency of runs whose subset return times lag the global maximum by
-    a factor 2^m at the moment the maximum first exceeds 2^threshold_power."""
-    subset = frozenset(subset)
-    rng = random.Random(seed)
-    hits = {m: 0 for m in m_values}
-    used = 0
-    for _ in range(samples):
-        lengths = sample_float_lengths(perm, rng)
-        state = InductionState(IET(perm, lengths, FLOAT))
-        try:
-            while max(state.q.values()) <= 2**threshold_power:
-                if state.steps >= step_budget:
-                    raise AlgorithmStopped(state.steps)
-                state.rauzy_step()
-        except (PrecisionExhausted, AlgorithmStopped):
-            continue
-        used += 1
-        sub_max = max(state.q[a] for a in subset)
-        top = max(state.q.values())
-        for m in m_values:
-            if sub_max * (1 << m) < top:
-                hits[m] += 1
-    return {
-        "samples": used,
-        "frequencies": {m: hits[m] / used if used else float("nan") for m in m_values},
     }

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -53,9 +54,19 @@ class IET:
     """A permutation pair plus positive lengths.
 
     ``backend`` is ``"exact"`` (Fraction lengths) or ``"float"``.
+
+    The public constructor validates its input (admissible datum, lengths
+    keyed by the alphabet, all positive) and converts the lengths to the
+    backend's type.  ``_from_step`` skips all of that for the induction step,
+    whose output is admissible and positive by construction.
+
+    The piece tables behind ``evaluate`` and ``evaluate_inverse`` are built
+    once per instance, on the first evaluation, in O(d); each evaluation then
+    costs O(log d).  Instances are treated as immutable: the tables are never
+    rebuilt, so ``lengths`` must not be changed in place.
     """
 
-    __slots__ = ("perm", "lengths", "backend")
+    __slots__ = ("perm", "lengths", "backend", "_pieces")
 
     def __init__(self, perm: Permutation, lengths: dict, backend: str = EXACT):
         if backend not in (EXACT, FLOAT):
@@ -71,6 +82,27 @@ class IET:
         self.perm = perm
         self.lengths = converted
         self.backend = backend
+        self._pieces: Optional[_Pieces] = None
+
+    @classmethod
+    def _from_step(cls, perm: Permutation, lengths: dict, backend: str) -> "IET":
+        """The IET after one induction step, without re-validation.
+
+        Only for ``InductionState.rauzy_step``, whose input is valid.  Two
+        facts make the output valid too: the Rauzy move maps an admissible
+        datum to an admissible one, and the new winner length (winner minus
+        loser) stays positive, because the exact step stops on a tie
+        (``AlgorithmStopped``) and the float step stops inside the guard band
+        (``PrecisionExhausted``), so it only subtracts a strictly smaller
+        length.  ``lengths`` already holds the backend's type, in canonical
+        letter order.
+        """
+        self = object.__new__(cls)
+        self.perm = perm
+        self.lengths = lengths
+        self.backend = backend
+        self._pieces = None
+        return self
 
     @property
     def d(self) -> int:
@@ -116,29 +148,27 @@ class IET:
         bottom = self.left_endpoints(BOTTOM)
         return {a: bottom[a] - top[a] for a in self.perm.letters}
 
+    def _piece_tables(self) -> "_Pieces":
+        if self._pieces is None:
+            self._pieces = _Pieces(self)
+        return self._pieces
+
     def evaluate(self, x):
         """Apply the exchange; intervals are half-open [left, right)."""
-        if x < 0 or x >= self.total():
+        p = self._piece_tables()
+        if x < 0 or x >= p.total:
             raise ValueError(f"{x} outside the domain")
-        acc = 0
-        for letter in self.perm.top:
-            nxt = acc + self.lengths[letter]
-            if x < nxt:
-                return x - acc + self.left_endpoints(BOTTOM)[letter]
-            acc = nxt
-        raise AssertionError("unreachable")
+        i = bisect_right(p.top_ends, x)
+        # (x - start) + image, in this order: x + (image - start) rounds
+        # differently, so float orbits would change
+        return x - p.top_starts[i] + p.top_images[i]
 
     def evaluate_inverse(self, y):
-        if y < 0 or y >= self.total():
+        p = self._piece_tables()
+        if y < 0 or y >= p.total:
             raise ValueError(f"{y} outside the domain")
-        acc = 0
-        top = self.left_endpoints(TOP)
-        for letter in self.perm.bottom:
-            nxt = acc + self.lengths[letter]
-            if y < nxt:
-                return y - acc + top[letter]
-            acc = nxt
-        raise AssertionError("unreachable")
+        i = bisect_right(p.bottom_ends, y)
+        return y - p.bottom_starts[i] + p.bottom_images[i]
 
     def orbit(self, x, n: int) -> list:
         """[x, Tx, ..., T^n x]."""
@@ -169,6 +199,33 @@ class IET:
         else:
             lengths = {a: float(v) for a, v in data["lengths"].items()}
         return IET(perm, lengths, backend)
+
+
+class _Pieces:
+    """Piece tables of one IET, in row order.
+
+    ``top_ends[i]`` is the right end of the i-th top piece, ``top_starts[i]``
+    its left end and ``top_images[i]`` the left end of the same letter's
+    bottom piece; the ``bottom_*`` lists are the same for the bottom row.
+    Every entry is a running sum over its row, accumulated left to right as
+    in ``left_endpoints``, so float entries are the same bits as the prefix
+    sums of a scan of the row.
+    """
+
+    __slots__ = ("total", "top_ends", "top_starts", "top_images",
+                 "bottom_ends", "bottom_starts", "bottom_images")
+
+    def __init__(self, iet: IET):
+        u_top = iet.left_endpoints(TOP)
+        u_bottom = iet.left_endpoints(BOTTOM)
+        top, bottom, lengths = iet.perm.top, iet.perm.bottom, iet.lengths
+        self.total = iet.total()
+        self.top_starts = [u_top[a] for a in top]
+        self.top_ends = [u_top[a] + lengths[a] for a in top]
+        self.top_images = [u_bottom[a] for a in top]
+        self.bottom_starts = [u_bottom[a] for a in bottom]
+        self.bottom_ends = [u_bottom[a] + lengths[a] for a in bottom]
+        self.bottom_images = [u_top[a] for a in bottom]
 
 
 def singularities(iet: IET) -> tuple[dict, dict]:
@@ -266,14 +323,9 @@ def _pullback_shift_exact(iet: IET, lo):
     """Shift applied by the inverse map to an interval whose interior meets no
     bottom singularity; the piece is the one containing the interior, which is
     the piece whose half-open [left, ...) contains lo."""
-    acc = 0
-    u_top = iet.left_endpoints(TOP)
-    for letter in iet.perm.bottom:
-        nxt = acc + iet.lengths[letter]
-        if lo < nxt:
-            return u_top[letter] - acc
-        acc = nxt
-    raise AssertionError("unreachable")
+    p = iet._piece_tables()
+    i = bisect_right(p.bottom_ends, lo)
+    return p.bottom_images[i] - p.bottom_starts[i]
 
 
 def is_reduced_triple(iet: IET, triple: Triple) -> bool:
@@ -283,7 +335,8 @@ def is_reduced_triple(iet: IET, triple: Triple) -> bool:
     the triple is reduced iff no pullback contains a singularity of the map or
     of its inverse strictly inside.  Endpoint transport is done through the
     piece containing the interval's interior, so exact endpoint collisions
-    with piece boundaries are handled by set semantics.
+    with piece boundaries are handled by set semantics.  Each of the n + 1
+    stages costs O(log d).
     """
     if iet.backend != EXACT:
         raise ValueError("the brute-force oracle needs the exact backend")
@@ -299,11 +352,11 @@ def is_reduced_triple(iet: IET, triple: Triple) -> bool:
     if point == target:
         raise ValueError("triple is a connection")
     lo, hi = (point, target) if point < target else (target, point)
-    sing = top_singularity_points(iet) + bottom_singularity_points(iet)
+    sing = sorted(top_singularity_points(iet) + bottom_singularity_points(iet))
     for k in range(triple.n + 1):
-        for s in sing:
-            if lo < s < hi:
-                return False
+        j = bisect_right(sing, lo)
+        if j < len(sing) and sing[j] < hi:
+            return False
         if k < triple.n:
             shift = _pullback_shift_exact(iet, lo)
             lo = lo + shift

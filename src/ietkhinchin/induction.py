@@ -5,6 +5,19 @@ The state keeps, for every letter, the counters l and h that locate the
 current singularities on the orbits of the original ones, and the return
 times q.  The identity l + h + 1 = q per letter is asserted in tests after
 every step.
+
+Cost: one step of ``InductionState.rauzy_step`` costs O(d) time, whatever
+the length of the run.  The arrows are appended to a list; the ``Path`` is
+built (in O(r) for r steps) only when ``state.path`` is read, and per-step
+callers use the returned arrow or ``state.ends_with`` instead.  Each arrow
+is memoised on its start vertex (``Permutation.arrow``), so a run builds
+every arrow of its Rauzy class at most once.
+
+Validation invariant: the starting IET is validated once, by the ``IET``
+constructor; every later ``state.current`` comes from ``IET._from_step``,
+which does not re-validate, because the Rauzy move keeps the datum
+admissible and the step stops (tie or guard band) before a length could
+become non-positive.
 """
 
 from __future__ import annotations
@@ -21,18 +34,36 @@ from .matrices import Matrix, identity_matrix
 class InductionState:
     """Mutable single-owner state of a run of the induction on one IET."""
 
-    __slots__ = ("start", "current", "path", "matrix", "q", "l", "h", "steps")
+    __slots__ = ("start", "current", "matrix", "q", "l", "h", "steps", "_arrows", "_path")
 
     def __init__(self, iet: IET):
         self.start = iet
         self.current = iet
-        self.path = Path(iet.perm)
+        self._arrows: list[Arrow] = []
+        self._path: Optional[Path] = None
         self.matrix: Matrix = identity_matrix(iet.d)
         letters = iet.perm.letters
         self.q = {a: 1 for a in letters}
         self.l = {a: 0 for a in letters}
         self.h = {a: 0 for a in letters}
         self.steps = 0
+
+    @property
+    def path(self) -> Path:
+        """The path of the run so far, built on first read after a step."""
+        if self._path is None or len(self._path) != len(self._arrows):
+            self._path = Path(self.start.perm, self._arrows)
+        return self._path
+
+    def ends_with(self, path: Path) -> bool:
+        """``self.path.ends_with(path)`` in O(len(path)), building no Path."""
+        k = len(path)
+        arrows = self._arrows
+        if k > len(arrows):
+            return False
+        if k == 0:
+            return self.current.perm == path.start
+        return arrows[-1] == path.arrows[-1] and tuple(arrows[-k:]) == path.arrows
 
     def snapshot_counters(self) -> tuple[dict, dict, dict]:
         return dict(self.l), dict(self.h), dict(self.q)
@@ -51,7 +82,8 @@ class InductionState:
 
         On a top arrow the loser's l grows by the winner's return time, on a
         bottom arrow the loser's h does; this is exactly what keeps
-        l + h + 1 = q per letter.
+        l + h + 1 = q per letter.  Costs O(d): the arrow is appended, and the
+        next IET is made without re-validation (see the module docstring).
         """
         kind = self.step_type()
         if kind is None:
@@ -59,11 +91,11 @@ class InductionState:
         iet = self.current
         winner = iet.perm.last(kind)
         loser = iet.perm.last(BOTTOM if kind == TOP else TOP)
-        arrow = Arrow(iet.perm, kind)
+        arrow = iet.perm.arrow(kind)
         new_lengths = dict(iet.lengths)
         new_lengths[winner] = new_lengths[winner] - new_lengths[loser]
-        self.current = IET(arrow.end, new_lengths, iet.backend)
-        self.path = Path(self.path.start, self.path.arrows + (arrow,))
+        self.current = IET._from_step(arrow.end, new_lengths, iet.backend)
+        self._arrows.append(arrow)
         letters = iet.perm.letters
         li = letters.index(loser)
         wi = letters.index(winner)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .combinat import (
     BOTTOM,
@@ -74,78 +74,9 @@ def detect(iet: IET, triple: Triple, step_budget: int = 100_000) -> DetectionRes
             state.l[triple.beta] + state.h[triple.alpha] == triple.n
             and state.current_singularity_gap(triple.beta, triple.alpha) == target_gap
         ):
-            last = state.path.arrows[-1].winner if state.path.arrows else None
-            return DetectionResult(triple, state.path, target_gap, last, dict(state.q))
-        if state.steps >= step_budget:
-            raise NotDetected(step_budget)
-        state.rauzy_step()
-
-
-def candidate_triples(state: InductionState) -> list[tuple[str, str, int]]:
-    """Pairs whose counters could currently realize a detected triple.
-
-    After a top arrow only the loser can play the first role, after a bottom
-    arrow only the loser can play the second; the trivial state yields the
-    n = 0 candidates.
-    """
-    perm0 = state.start.perm
-    pairs = valid_pairs(perm0)
-    if not state.path.arrows:
-        return [(b, a, 0) for b, a in pairs]
-    last = state.path.arrows[-1]
-    out = []
-    if last.kind == TOP:
-        beta = last.loser
-        for b, a in pairs:
-            if b == beta:
-                out.append((b, a, state.l[b] + state.h[a]))
-    else:
-        alpha = last.loser
-        for b, a in pairs:
-            if a == alpha:
-                out.append((b, a, state.l[b] + state.h[a]))
-    return out
-
-
-def detection_table(
-    iet: IET, n_max: int, step_budget: int = 100_000
-) -> dict[tuple[str, str], dict[int, DetectionResult]]:
-    """Minimal detections for every pair and every n <= n_max, in one pass.
-
-    For each step r and pair the counter sum is compared with n and the
-    current singularity gap with the exact orbit gap; the first match wins.
-    Runs until every pair's counter sum exceeds n_max.
-    """
-    if iet.backend != EXACT:
-        raise ValueError("detection needs the exact backend")
-    perm = iet.perm
-    pairs = valid_pairs(perm)
-    u_top0 = iet.left_endpoints(TOP)
-    u_bottom0 = iet.left_endpoints(BOTTOM)
-    orbits: dict[str, list] = {}
-    for beta in {b for b, _ in pairs}:
-        orbit = [u_bottom0[beta]]
-        for _ in range(n_max):
-            orbit.append(iet.evaluate(orbit[-1]))
-        orbits[beta] = orbit
-
-    out: dict[tuple[str, str], dict[int, DetectionResult]] = {p: {} for p in pairs}
-    state = InductionState(iet)
-    while True:
-        u_top = state.current.left_endpoints(TOP)
-        u_bottom = state.current.left_endpoints(BOTTOM)
-        for beta, alpha in pairs:
-            n = state.l[beta] + state.h[alpha]
-            if n > n_max or n in out[(beta, alpha)]:
-                continue
-            gap = abs(u_bottom[beta] - u_top[alpha])
-            if gap == abs(orbits[beta][n] - u_top0[alpha]):
-                last = state.path.arrows[-1].winner if state.path.arrows else None
-                out[(beta, alpha)][n] = DetectionResult(
-                    Triple(beta, alpha, n), state.path, gap, last, dict(state.q)
-                )
-        if all(state.l[b] + state.h[a] > n_max for b, a in pairs):
-            return out
+            path = state.path
+            last = path.arrows[-1].winner if path.arrows else None
+            return DetectionResult(triple, path, target_gap, last, dict(state.q))
         if state.steps >= step_budget:
             raise NotDetected(step_budget)
         state.rauzy_step()
@@ -417,7 +348,7 @@ def produce_triples(
         history.append(state.snapshot_counters())
         if len(history) > back + 1:
             history.pop(0)
-        if state.path.ends_with(ref.path):
+        if state.ends_with(ref.path):
             l_snap, h_snap, _ = history[-(back + 1)]
             n = l_snap[ref.beta] + h_snap[ref.alpha]
             gap = state.current.lengths[gap_letter]
@@ -429,52 +360,6 @@ def produce_triples(
                 )
             out.append((n, gap_letter, gap, flag, state.steps))
     return out
-
-
-def first_return(
-    ref: ReferencePath, iet: IET, k: int, step_budget: int = 200_000
-) -> IET:
-    """k-fold first-return through the reference path, renormalized.
-
-    The input must sit at the reference path's endpoint; each application
-    advances the induction to the completion of the next occurrence of the
-    path (occurrences of a neat path cannot overlap).
-    """
-    if iet.perm != ref.end:
-        raise ValueError("the transformation must sit at the reference path's end")
-    current = iet.normalized()
-    if k == 0:
-        return current
-    state = InductionState(current)
-    remaining = k
-    for _ in range(step_budget):
-        state.rauzy_step()
-        if state.current.backend != EXACT:
-            state.current = state.current.normalized()
-        if state.path.ends_with(ref.path):
-            remaining -= 1
-            if remaining == 0:
-                return state.current.normalized()
-    raise NotDetected(step_budget)
-
-
-def return_path(
-    ref: ReferencePath, iet: IET, k: int, step_budget: int = 200_000
-) -> Path:
-    """The orbit path consumed by k first-return applications."""
-    if iet.perm != ref.end:
-        raise ValueError("the transformation must sit at the reference path's end")
-    state = InductionState(iet.normalized())
-    remaining = k
-    for _ in range(step_budget):
-        state.rauzy_step()
-        if state.current.backend != EXACT:
-            state.current = state.current.normalized()
-        if state.path.ends_with(ref.path):
-            remaining -= 1
-            if remaining == 0:
-                return state.path
-    raise NotDetected(step_budget)
 
 
 class TargetFamily:

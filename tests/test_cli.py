@@ -49,3 +49,20 @@ def test_bench_runs_on_phi_spec(capsys):
     assert data["pure"]["checksum"] > 0
     if "compiled" in data:
         assert data["agreement"]
+
+
+def test_config_supplies_required_flag(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"perm": "ABC/CBA"}))
+    assert main(["class", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["size"] == 3
+    args = parse_args(build_parser(), ["class", "--perm", "ABCD/DCBA", "--config", str(path)])
+    assert args.perm == "ABCD/DCBA"
+
+
+def test_required_flag_missing_from_flags_and_config(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"beta": "B"}))
+    with pytest.raises(SystemExit):
+        parse_args(build_parser(), ["detect", "--alpha", "A", "--config", str(path)])
+    assert "the following arguments are required: --n" in capsys.readouterr().err
